@@ -42,7 +42,7 @@ RPA105    **Mutation-version discipline.** Methods of a class that
           mutate attributes declared ``# versioned-state`` must bump
           the mutation version (``self._version``) or call an
           invalidation helper — caches keyed on the version
-          (``PrefixStore``, ``GraphStatistics``, the condition memo)
+          (``PrefixStore``, ``GraphStatistics``, ``ConditionSets``)
           must never outlive the data they summarize.
 ========  ==========================================================
 

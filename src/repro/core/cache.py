@@ -18,9 +18,13 @@ pattern verbatim).
   executes only the delta join — the future-work item realized at the
   granularity the paper asks for.
 
-A shared :class:`~repro.tgm.conditions.ConditionMemo` additionally memoizes
-per-(condition, node) verdicts, so expensive ``NeighborSatisfies`` semijoin
-conditions never re-scan a node's neighbors twice in one session.
+A shared :class:`~repro.core.planner.ConditionSets` store additionally
+memoizes each selection condition's answer — the node-id set the planner
+evaluates a set at a time — per (condition, node type, graph version), so
+a ``NeighborSatisfies`` semi-join or a LIKE over a large type is evaluated
+once across every session, and a conjunction reuses the sets of its
+operands. It is bounded: it evicts by the same LRU and cell budget as the
+relation stores, so fresh constants cannot grow it without limit.
 
 Because patterns, conditions, and the instance graph are immutable during a
 browsing session, cached graph relations stay valid; the format
@@ -35,11 +39,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.analysis.runtime import assert_locked
-from repro.tgm.conditions import ConditionMemo
 from repro.tgm.graph_relation import GraphRelation
 from repro.tgm.instance_graph import InstanceGraph
 from repro.core.etable import ETable
 from repro.core.planner import (
+    ConditionSets,
     DeltaPlan,
     DeltaPlanner,
     DeltaReport,
@@ -310,7 +314,9 @@ class CachingExecutor:
         # serves — the fleet-wide normalized plan cache of ROADMAP item 3.
         self.plans = CompiledPlanCache(graph, max_entries=max_plans)
         self.stats = CacheStats()  # guarded-by: self._lock
-        self.memo = ConditionMemo()  # guarded-by: self._lock
+        # Condition answers are shared by every session; the store locks
+        # itself because incremental sessions evaluate outside self._lock.
+        self.condition_sets = ConditionSets(graph)
         # Aggregated counters of every IncrementalExecutor layered over this
         # executor (the service shares one base across all sessions, so this
         # is the fleet-wide incremental picture).
@@ -327,22 +333,10 @@ class CachingExecutor:
         self._store = PrefixStore(max_entries=max_entries,  # guarded-by: self._lock
                                   max_cells=max_cells,
                                   graph=graph)
-        self._graph_version = graph.version  # guarded-by: self._lock
         self._lock = threading.RLock()
-
-    def _check_graph_version(self) -> None:  # requires-lock
-        """Drop the condition memo after a graph mutation (caller holds the
-        lock). The relation stores self-invalidate; the memo holds
-        per-(condition, node) verdicts that mutation can flip (e.g. a
-        ``NeighborSatisfies`` after an edge was added)."""
-        assert_locked(self._lock, "CachingExecutor._lock")
-        if self._graph_version != self.graph.version:
-            self.memo.clear()
-            self._graph_version = self.graph.version
 
     def match(self, pattern: QueryPattern) -> GraphRelation:
         with self._lock:
-            self._check_graph_version()
             key = pattern_cache_key(pattern)
             cached = self._store.get(key)
             if cached is not None:
@@ -363,7 +357,7 @@ class CachingExecutor:
             relation = execute_plan(
                 plan,
                 self.graph,
-                memo=self.memo,
+                sets=self.condition_sets,
                 store=self.prefixes,
                 report=report,
                 parallel=self.parallel,
@@ -398,7 +392,6 @@ class CachingExecutor:
         lockstep, so a wrong adoption diverges immediately).
         """
         with self._lock:
-            self._check_graph_version()
             self._store.put(key or pattern_cache_key(pattern), relation)
 
     def stats_payload(self) -> dict:  # repro: noqa-RPA101 — lock-free by design, see docstring
@@ -425,6 +418,7 @@ class CachingExecutor:
             "pushdown_joins": self.stats.pushdown_joins,
             "results": self._store.stats(),
             "prefixes": self.prefixes.stats(),
+            "condition_sets": self.condition_sets.stats(),
             "plan_cache": self.plans.stats(),
             "incremental": self.incremental.payload(),
             "parallel": (
@@ -442,7 +436,7 @@ class CachingExecutor:
         with self._lock:
             self._store.clear()
             self.prefixes.clear()
-            self.memo.clear()
+            self.condition_sets.clear()
             self.plans.clear()
 
 
@@ -542,7 +536,7 @@ class IncrementalExecutor:
             assert previous is not None
             relation, report = self.planner.execute(
                 delta, previous[1], pattern,
-                memo=self.base.memo, parallel=self.base.parallel,
+                sets=self.base.condition_sets, parallel=self.base.parallel,
                 pushdown=self.base.pushdown,
             )
             if not delta.order_preserved:

@@ -34,7 +34,7 @@ already implies).
 from __future__ import annotations
 
 from repro.errors import InvalidQueryPattern
-from repro.tgm.conditions import ConditionMemo, conjoin_conditions
+from repro.tgm.conditions import conjoin_conditions
 from repro.tgm.graph_relation import GraphRelation, base_relation, join, selection
 from repro.tgm.instance_graph import GraphStatistics, InstanceGraph
 from repro.core.query_pattern import QueryPattern
@@ -44,7 +44,6 @@ def match_planned(
     pattern: QueryPattern,
     graph: InstanceGraph,
     stats: GraphStatistics | None = None,
-    memo: ConditionMemo | None = None,
 ) -> GraphRelation:
     """Evaluate ``m(Q)`` through the planner; output equals :func:`match`.
 
@@ -61,7 +60,7 @@ def match_planned(
 
     pattern.validate(graph.schema)
     plan = build_plan(pattern, graph, stats=stats)
-    relation = execute_plan(plan, graph, memo=memo)
+    relation = execute_plan(plan, graph)
     return restore_reference_order(pattern, relation, graph)
 
 
@@ -69,7 +68,6 @@ def match_parallel(
     pattern: QueryPattern,
     graph: InstanceGraph,
     stats: GraphStatistics | None = None,
-    memo: ConditionMemo | None = None,
     context: "ParallelContext | None" = None,
     workers: int | None = None,
 ) -> GraphRelation:
@@ -93,7 +91,6 @@ def match_parallel(
     relation = execute_plan(
         plan,
         graph,
-        memo=memo,
         parallel=context or parallel_context(workers),
     )
     return restore_reference_order(pattern, relation, graph)
@@ -103,7 +100,6 @@ def match_pushdown(
     pattern: QueryPattern,
     graph: InstanceGraph,
     stats: GraphStatistics | None = None,
-    memo: ConditionMemo | None = None,
     context: "PushdownContext | None" = None,
     min_rows: int | None = None,
 ) -> GraphRelation:
@@ -128,7 +124,6 @@ def match_pushdown(
     relation = execute_plan(
         plan,
         graph,
-        memo=memo,
         pushdown=context or pushdown_context(graph, min_rows),
     )
     return restore_reference_order(pattern, relation, graph)

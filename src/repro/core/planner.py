@@ -9,9 +9,11 @@ interactivity claim (Section 7) and its future-work item #2 (Section 9,
 * **selectivity estimation** over :class:`~repro.tgm.instance_graph.GraphStatistics`
   (per-type cardinalities, per-edge degree histograms, per-attribute
   distinct counts) — the statistics layer of the engine;
-* **index-backed candidate enumeration**: equality and identity conditions
-  become hash-index probes (``InstanceGraph.attribute_index``) instead of
-  full type scans — the secondary-index layer;
+* **set-at-a-time candidate enumeration**: every selection condition is
+  answered as one node-id set — attribute predicates once per distinct
+  value of the hash index (``InstanceGraph.attribute_index``), neighbor
+  conditions as reverse-edge semi-joins, combinators as set algebra —
+  instead of one node at a time (:func:`condition_ids`);
 * a **greedy join-order planner** that starts from the most selective
   pattern node and repeatedly joins the frontier node with the smallest
   estimated result growth, emitting an inspectable :class:`Plan` with
@@ -52,7 +54,6 @@ from repro.tgm.conditions import (
     AttributeIn,
     AttributeLike,
     Condition,
-    ConditionMemo,
     LabelLike,
     NeighborSatisfies,
     NodeIn,
@@ -61,8 +62,8 @@ from repro.tgm.conditions import (
     OrCondition,
     conjoin_conditions,
 )
-from repro.tgm.graph_relation import GraphAttribute, GraphRelation
-from repro.tgm.instance_graph import GraphStatistics, InstanceGraph
+from repro.tgm.graph_relation import GraphAttribute, GraphRelation, selection
+from repro.tgm.instance_graph import GraphStatistics, InstanceGraph, Node
 from repro.core.query_pattern import PatternEdge, QueryPattern
 
 # Heuristic selectivity defaults for predicates without usable statistics.
@@ -145,59 +146,213 @@ def estimate_selectivity(
 
 
 # ----------------------------------------------------------------------
-# Candidate enumeration (index probes instead of type scans)
+# Candidate enumeration: set-at-a-time condition evaluation
 # ----------------------------------------------------------------------
+# Leaf conditions whose answers the executor's ConditionSets store keeps:
+# each walks an attribute index or an adjacency list. Identity probes are
+# cheaper to recompute than to hash, and combinators recompose from their
+# operands' stored sets with set algebra.
+_STORED_CONDITIONS = (
+    AttributeCompare, AttributeIn, AttributeLike, LabelLike, NeighborSatisfies,
+)
+
+
 def candidate_ids(
     graph: InstanceGraph,
     type_name: str,
     condition: Condition | None,
-    memo: ConditionMemo | None = None,
+    sets: ConditionSets | None = None,
 ) -> list[int]:
     """Node ids of ``type_name`` satisfying ``condition``.
 
-    Identity probes (``NodeIs``/``NodeIn``) and attribute-equality probes
-    (via the graph's hash indexes) narrow the candidate pool before the
-    residual condition is evaluated, turning ``σ`` into index lookups.
+    The condition is answered as one id set (:func:`condition_ids`); the
+    candidate pool — the identity probes when the condition names its
+    nodes, else the type's ids — is then kept by membership, so the list
+    keeps the pool order the per-node evaluation it replaces produced.
     """
     if condition is None:
         return graph.node_ids_of_type(type_name)
-    pool: Iterable[int] | None = None
-    node_probes = condition.node_probes()
-    if node_probes is not None:
-        pool = [
-            node_id
-            for node_id in node_probes
-            if graph.has_node(node_id)
-            and graph.node(node_id).type_name == type_name
-        ]
-    else:
-        probes = condition.index_probes()
-        if probes:
-            # Use the narrowest probe; the residual filter below applies the
-            # full condition anyway, so any sound probe is safe.
-            best: list[int] | None = None
-            for attribute, values in probes:
-                ids: list[int] = []
-                for value in values:
-                    ids.extend(
-                        graph.find_ids_by_attribute(type_name, attribute, value)
-                    )
-                if best is None or len(ids) < len(best):
-                    best = ids
-            pool = sorted(set(best or ()))
+    matching = condition_ids(graph, type_name, condition, sets)
+    if not matching:
+        return []
+    pool = condition.node_probes()
     if pool is None:
         pool = graph.node_ids_of_type(type_name)
-    if memo is not None:
-        return [
+    return [node_id for node_id in pool if node_id in matching]
+
+
+def condition_ids(
+    graph: InstanceGraph,
+    type_name: str,
+    condition: Condition,
+    sets: ConditionSets | None = None,
+) -> frozenset[int]:
+    """The ids of the ``type_name`` nodes satisfying ``condition``.
+
+    Equal to ``{n.node_id for n in graph.nodes_of_type(type_name) if
+    condition.matches(n, graph)}``, computed a set at a time:
+
+    * attribute predicates (``AttributeCompare``/``In``/``Like``,
+      ``LabelLike``) decide once per *distinct value* of the attribute
+      index; a type whose index skips an unhashable value is scanned;
+    * ``NeighborSatisfies`` is the Section 6.1 ``EXISTS`` subquery run as a
+      semi-join from the small side: the inner condition is answered over
+      the neighbor type and its hits expand through the reverse-twin
+      adjacency;
+    * ``And``/``Or``/``Not`` are intersection, union, and difference
+      against the type's ids; a conjunction that names its nodes
+      (``NodeIs``/``NodeIn``) tests just those nodes.
+
+    With ``sets``, leaf answers are memoized per (condition, type, graph
+    version), so a conjunction a session accretes filter by filter reuses
+    the sets of its earlier operands.
+    """
+    if isinstance(condition, AndCondition):
+        probes = condition.node_probes()
+        if probes is not None:
+            return _scan_ids(graph, type_name, condition, probes)
+        result: frozenset[int] | None = None
+        for operand in condition.operands:
+            ids = condition_ids(graph, type_name, operand, sets)
+            result = ids if result is None else result & ids
+            if not result:
+                break
+        return result if result is not None else _type_ids(graph, type_name)
+    if isinstance(condition, OrCondition):
+        result = frozenset()
+        for operand in condition.operands:
+            result |= condition_ids(graph, type_name, operand, sets)
+        return result
+    if isinstance(condition, NotCondition):
+        return _type_ids(graph, type_name) - condition_ids(
+            graph, type_name, condition.operand, sets
+        )
+    if isinstance(condition, (NodeIs, NodeIn)):
+        return frozenset(
             node_id
-            for node_id in pool
-            if memo.matches(condition, graph.node(node_id), graph)
-        ]
-    return [
+            for node_id in condition.node_probes()
+            if graph.has_node(node_id)
+            and graph.node(node_id).type_name == type_name
+        )
+    if sets is None or not isinstance(condition, _STORED_CONDITIONS):
+        return _leaf_ids(graph, type_name, condition, sets)
+    key = (condition, type_name, graph.version)
+    try:
+        hash(key)
+    except TypeError:  # an unhashable constant: answer without storing
+        return _leaf_ids(graph, type_name, condition, sets)
+    ids = sets.get(key)
+    if ids is None:
+        ids = _leaf_ids(graph, type_name, condition, sets)
+        sets.put(key, ids)
+    return ids
+
+
+def _type_ids(graph: InstanceGraph, type_name: str) -> frozenset[int]:
+    return frozenset(graph.node_ids_of_type(type_name))
+
+
+def _scan_ids(
+    graph: InstanceGraph,
+    type_name: str,
+    condition: Condition,
+    pool: Iterable[int] | None = None,
+) -> frozenset[int]:
+    """Per-node evaluation over ``pool`` (default: every node of the type)."""
+    if pool is None:
+        pool = graph.node_ids_of_type(type_name)
+    node_of = graph.node
+    return frozenset(
         node_id
         for node_id in pool
-        if condition.matches(graph.node(node_id), graph)
-    ]
+        if graph.has_node(node_id)
+        and node_of(node_id).type_name == type_name
+        and condition.matches(node_of(node_id), graph)
+    )
+
+
+def _leaf_ids(
+    graph: InstanceGraph,
+    type_name: str,
+    condition: Condition,
+    sets: ConditionSets | None,
+) -> frozenset[int]:
+    if isinstance(condition, NeighborSatisfies):
+        return _neighbor_ids(graph, type_name, condition, sets)
+    if isinstance(condition, LabelLike):
+        attribute = graph.schema.node_type(type_name).label_attribute
+    elif isinstance(condition, (AttributeCompare, AttributeIn, AttributeLike)):
+        attribute = condition.attribute
+    else:  # a condition kind without a set form
+        return _scan_ids(graph, type_name, condition)
+    if not graph.attribute_index_covers(type_name, attribute):
+        return _scan_ids(graph, type_name, condition)
+    index = graph.attribute_index(type_name, attribute)
+    if isinstance(condition, AttributeCompare) and condition.op == "=":
+        values: tuple = (condition.value,)
+    elif isinstance(condition, AttributeIn):
+        values = condition.values
+    else:
+        values = ()
+    if values:
+        # Equality and IN answer by probing their buckets. NULL never
+        # matches, and the index holds no NULL bucket to find.
+        try:
+            hits = set()
+            for value in values:
+                hits.update(index.get(value, ()))
+            return frozenset(hits)
+        except TypeError:  # an unhashable constant: walk the values below
+            pass
+    # Decide once per distinct value, through ``matches`` itself on a
+    # stand-in node carrying just that value. NULLs are not in the index
+    # and never match. Equal values share a bucket, and ``==`` values
+    # compare alike, so one verdict serves the bucket; but ``str()`` tells
+    # 1, 1.0 and True apart, so LIKE decides non-string buckets per node.
+    like = isinstance(condition, (AttributeLike, LabelLike))
+    stand_in = Node(0, type_name, {})
+    node_of = graph.node
+    hits = set()
+    for value, ids in index.items():
+        if like and type(value) is not str:
+            hits.update(
+                node_id for node_id in ids
+                if condition.matches(node_of(node_id), graph)
+            )
+            continue
+        stand_in.attributes[attribute] = value
+        if condition.matches(stand_in, graph):
+            hits.update(ids)
+    return frozenset(hits)
+
+
+def _neighbor_ids(
+    graph: InstanceGraph,
+    type_name: str,
+    condition: NeighborSatisfies,
+    sets: ConditionSets | None,
+) -> frozenset[int]:
+    """``EXISTS`` as a semi-join: answer ``inner`` over the neighbor type,
+    then walk each hit's reverse-twin adjacency back to its sources."""
+    edge = graph.schema.edge_type(condition.edge_type)
+    if edge.source != type_name:
+        return frozenset()  # no node of this type has such a neighbor
+    inner = condition_ids(graph, edge.target, condition.inner, sets)
+    if not inner:
+        return frozenset()
+    twin = edge.reverse_name
+    if twin is not None:
+        # Every edge is indexed under both twins, so u lists t under
+        # ``edge`` exactly when t lists u under ``twin``.
+        sources: set[int] = set()
+        for target_id in inner:
+            sources.update(graph.neighbors_view(target_id, twin))
+        return frozenset(sources)
+    return frozenset(  # a one-way edge type: test each source's list
+        node_id
+        for node_id in graph.node_ids_of_type(type_name)
+        if not inner.isdisjoint(graph.neighbors_view(node_id, edge.name))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -704,9 +859,13 @@ class PrefixStore:
             self._store.move_to_end(key)
         return relation
 
+    def weigh(self, relation: GraphRelation) -> int:
+        """An entry's eviction weight in cells."""
+        return relation_cells(relation)
+
     def put(self, key: tuple, relation: GraphRelation) -> None:
         self.check_version()
-        weight = relation_cells(relation)
+        weight = self.weigh(relation)
         if self.max_cells is not None and weight > self.max_cells:
             # Admission policy: a relation larger than the entire budget
             # would evict everything else and then sit unevictable until
@@ -758,6 +917,45 @@ class PrefixStore:
         self._store.clear()
         self._weights.clear()
         self.total_cells = 0
+
+
+class ConditionSets(PrefixStore):
+    """Bounded memo of :func:`condition_ids` answers.
+
+    Keys are ``(condition, type name, graph version)``; values are frozen
+    node-id sets weighing one cell per id. Fresh constants (every user's
+    own LIKE fragment) add entries, so the store shares
+    :class:`PrefixStore`'s LRU eviction and cell budget instead of growing
+    with traffic. It is graph-bound like the relation stores, and the
+    version in the key keeps a set computed across a concurrent mutation
+    from ever being served under the new version.
+
+    Sessions evaluate conditions outside their executor's lock (the
+    incremental engine's delta selections), so lookups and inserts take
+    the store's own lock; two threads that miss on the same key both
+    compute it, which is wasteful but exact.
+    """
+
+    def __init__(self, graph: InstanceGraph, max_entries: int = 2048,
+                 max_cells: int | None = 500_000) -> None:
+        super().__init__(max_entries=max_entries, max_cells=max_cells,
+                         graph=graph)
+        self._lock = threading.RLock()
+
+    def weigh(self, ids: frozenset[int]) -> int:
+        return max(1, len(ids))
+
+    def get(self, key: tuple) -> frozenset[int] | None:
+        with self._lock:
+            return super().get(key)
+
+    def put(self, key: tuple, ids: frozenset[int]) -> None:
+        with self._lock:
+            super().put(key, ids)
+
+    def clear(self) -> None:
+        with self._lock:
+            super().clear()
 
 
 # How many candidate subpatterns the reuse lookup may inspect before giving
@@ -1213,7 +1411,7 @@ def _delta_join_parallel(
 def execute_plan(
     plan: Plan,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
+    sets: ConditionSets | None = None,
     store: PrefixStore | None = None,
     report: ExecutionReport | None = None,
     parallel: ParallelContext | None = None,
@@ -1268,7 +1466,7 @@ def execute_plan(
         cached = candidates.get(key)
         if cached is None:
             cached = dict.fromkeys(
-                candidate_ids(graph, types[key], conditions[key], memo)
+                candidate_ids(graph, types[key], conditions[key], sets)
             )
             candidates[key] = cached
         return cached
@@ -1512,15 +1710,12 @@ def _semijoin_filter(
     if traversal is None:
         return 0  # direction not indexed; reduction is optional
     keep = candidates[keep_key]
-    against = candidates[against_key]
+    against = candidates[against_key].keys()
     adjacency = graph._adjacency
     survivors = {
         node_id: None
         for node_id in keep
-        if any(
-            neighbor in against
-            for neighbor in adjacency.get((node_id, traversal), ())
-        )
+        if not against.isdisjoint(adjacency.get((node_id, traversal), ()))
     }
     pruned = len(keep) - len(survivors)
     if pruned:
@@ -1843,50 +2038,24 @@ def estimate_delta_cost(
     return max(1.0, cost)
 
 
-# Condition types whose per-node evaluation is expensive enough to be worth
-# the memo's (condition, node) bookkeeping: semijoins scan neighbor lists,
-# and combinators recurse. Plain attribute predicates are a dict get plus a
-# comparison — cheaper to just evaluate than to hash into the memo.
-_MEMO_WORTHY = (NeighborSatisfies, AndCondition, OrCondition, NotCondition)
-
-
 def _delta_select(
     relation: GraphRelation,
     key: str,
     condition: Condition,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
+    sets: ConditionSets | None = None,
 ) -> GraphRelation:
     """``σ`` over one attribute of a materialized relation, delta-tuned.
 
-    Unlike the generic :func:`repro.tgm.graph_relation.selection` (which
-    evaluates per *row*), the condition is evaluated once per **distinct**
-    node id of the column and rows are then kept by set membership — on a
-    joined relation the same primary node appears once per join partner,
-    and re-evaluating a LIKE regex per duplicate is pure waste. Expensive
-    conditions (semijoins, combinators) go through the shared memo;
-    plain attribute predicates are evaluated directly.
+    The condition is answered once, as an id set over the column's node
+    type (through the executor's :class:`ConditionSets`, so a later action
+    reusing the condition pays nothing), and rows are kept by membership —
+    on a joined relation the same node appears once per join partner, and
+    none of those duplicates re-evaluates anything.
     """
-    position = relation.position(key)
-    columns = relation.columns_view()
-    column = columns[position]
-    node_of = graph.node
-    matching: set[int] = set()
-    if memo is not None and isinstance(condition, _MEMO_WORTHY):
-        for node_id in dict.fromkeys(column):
-            if memo.matches(condition, node_of(node_id), graph):
-                matching.add(node_id)
-    else:
-        for node_id in dict.fromkeys(column):
-            if condition.matches(node_of(node_id), graph):
-                matching.add(node_id)
-    kept = [
-        index for index, node_id in enumerate(column) if node_id in matching
-    ]
-    if len(kept) == len(column):
-        return relation
-    out = [[col[index] for index in kept] for col in columns]
-    return GraphRelation.from_columns(list(relation.attributes), out)
+    type_name = relation.attributes[relation.position(key)].type_name
+    matching = condition_ids(graph, type_name, condition, sets)
+    return selection(relation, key, condition, graph, matching=matching)
 
 
 @dataclass(frozen=True)
@@ -1962,14 +2131,14 @@ def execute_delta(
     prev_relation: GraphRelation,
     pattern: QueryPattern,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
+    sets: ConditionSets | None = None,
     parallel: ParallelContext | None = None,
     pushdown: "PushdownContext | None" = None,
 ) -> tuple[GraphRelation, DeltaReport]:
     """Derive ``m(pattern)`` from the previous pattern's full relation.
 
-    Selections filter the relation row-wise (sharing the executor's
-    condition memo); an extension runs exactly one delta join — through the
+    Selections keep rows by membership in the condition's id set (shared
+    through the executor's :class:`ConditionSets`); an extension runs exactly one delta join — through the
     SQL pushdown path when a context is attached and the join clears its
     cost rule, or the parallel partition path when that context's threshold
     clears instead, so ``engine="incremental"`` composes with both
@@ -1981,7 +2150,7 @@ def execute_delta(
     relation = prev_relation
     for key, condition in delta.selections:
         report.rows_touched += len(relation)
-        relation = _delta_select(relation, key, condition, graph, memo)
+        relation = _delta_select(relation, key, condition, graph, sets)
     if delta.extension is not None:
         left_key, traversal, new_key = delta.extension
         node = pattern.node(new_key)
@@ -1989,7 +2158,7 @@ def execute_delta(
         candidate_set: dict[int, None] | None = None
         if condition is not None:
             candidate_set = dict.fromkeys(
-                candidate_ids(graph, node.type_name, condition, memo)
+                candidate_ids(graph, node.type_name, condition, sets)
             )
         report.rows_touched += len(relation)
         if pushdown is not None and pushdown.should_push(
@@ -2045,9 +2214,8 @@ class DeltaPlanner:
     # The replan estimate must undercut the delta estimate by this factor
     # before the planner abandons the delta: both estimates count *rows*,
     # but a replanned row is much more expensive than a delta row (fresh
-    # candidate enumeration with per-node condition evaluation, full joins,
-    # and the restoration sort, versus memoized dict probes over an
-    # already-materialized relation). The gate exists for the pathological
+    # candidate enumeration, full joins, and the restoration sort, versus
+    # set-membership probes over an already-materialized relation). The gate exists for the pathological
     # order-of-magnitude cases — a huge previous relation against an
     # indexed identity probe — not for coin-flip margins.
     REPLAN_BIAS = 4.0
@@ -2084,11 +2252,11 @@ class DeltaPlanner:
         delta: DeltaPlan,
         prev_relation: GraphRelation,
         pattern: QueryPattern,
-        memo: ConditionMemo | None = None,
+        sets: ConditionSets | None = None,
         parallel: ParallelContext | None = None,
         pushdown: "PushdownContext | None" = None,
     ) -> tuple[GraphRelation, DeltaReport]:
         return execute_delta(
             delta, prev_relation, pattern, self.graph,
-            memo=memo, parallel=parallel, pushdown=pushdown,
+            sets=sets, parallel=parallel, pushdown=pushdown,
         )

@@ -23,7 +23,7 @@ single delta-join step into SQL:
   ``source_id``) — because an adjacency list interleaves edges stored
   under either twin's name;
 * the candidate set (computed in Python exactly as the kernel does, index
-  probes and memo included) becomes an ``IN`` filter over a second temp
+  set evaluation and condition-set store included) becomes an ``IN`` filter over a second temp
   table;
 * ``ORDER BY (prefix row index, edge id)`` reproduces the kernel's output
   order *exactly*: adjacency lists append in global ``add_edge`` order,

@@ -64,8 +64,13 @@ class Scope:
 
 
 @functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024)
 def _compile_like(pattern: str) -> re.Pattern[str]:
-    """Compile a LIKE pattern once; predicates re-evaluate per row."""
+    """Compile a LIKE pattern once; predicates re-evaluate per row.
+
+    Memoized: callers ask for the regex on every row they test, and the
+    translation walks the pattern a character at a time.
+    """
     parts: list[str] = []
     for char in pattern:
         if char == "%":

@@ -11,6 +11,7 @@ history view shows those strings (e.g. ``acronym = 'SIGMOD'``).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
@@ -70,64 +71,11 @@ class Condition:
         return self.describe()
 
 
-class ConditionMemo:
-    """Memoizes per-(condition, node) results across executions.
+def _like_regex(pattern: str) -> re.Pattern[str]:
+    # Imported late: repro.relational imports this package.
+    from repro.relational.expressions import _compile_like
 
-    Conditions and the instance graph are immutable during a browsing
-    session, so a condition's verdict on a node never changes. Keeping the
-    memo on the executor means an incremental session evaluates each
-    ``NeighborSatisfies`` (the expensive semijoin condition) at most once
-    per node over its whole lifetime, instead of once per user action.
-
-    Combinators (``And``/``Or``/``Not``) are evaluated *compositionally*:
-    their operands go through the memo individually, so the conjunction a
-    session accretes filter-by-filter still hits the entries of its parts —
-    the incremental pattern ``σ_A``, ``σ_A∧B``, ``σ_A∧B∧C`` evaluates each
-    base predicate once per node, total.
-
-    Conditions with unhashable payloads fall back to direct evaluation.
-    """
-
-    def __init__(self) -> None:
-        self._results: dict[tuple[Condition, int], bool] = {}
-        self.hits = 0
-        self.evaluations = 0
-
-    def matches(
-        self, condition: "Condition", node: "Node", graph: "InstanceGraph"
-    ) -> bool:
-        try:
-            key = (condition, node.node_id)
-            cached = self._results.get(key)
-        except TypeError:  # unhashable condition payload
-            return self._evaluate(condition, node, graph)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        result = self._evaluate(condition, node, graph)
-        self._results[key] = result
-        return result
-
-    def _evaluate(
-        self, condition: "Condition", node: "Node", graph: "InstanceGraph"
-    ) -> bool:
-        if isinstance(condition, AndCondition):
-            return all(
-                self.matches(operand, node, graph)
-                for operand in condition.operands
-            )
-        if isinstance(condition, OrCondition):
-            return any(
-                self.matches(operand, node, graph)
-                for operand in condition.operands
-            )
-        if isinstance(condition, NotCondition):
-            return not self.matches(condition.operand, node, graph)
-        self.evaluations += 1
-        return condition.matches(node, graph)
-
-    def clear(self) -> None:
-        self._results.clear()
+    return _compile_like(pattern)
 
 
 def _format_value(value: Any) -> str:
@@ -176,16 +124,15 @@ class AttributeLike(Condition):
     pattern: str
     negate: bool = False
 
+    @functools.cached_property
     def _regex(self) -> re.Pattern[str]:
-        from repro.relational.expressions import _compile_like
-
-        return _compile_like(self.pattern)
+        return _like_regex(self.pattern)
 
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
         actual = node.attributes.get(self.attribute)
         if actual is None:
             return False
-        matched = bool(self._regex().match(str(actual)))
+        matched = bool(self._regex.match(str(actual)))
         return not matched if self.negate else matched
 
     def describe(self) -> str:
@@ -277,7 +224,11 @@ class LabelLike(Condition):
         label = node.label(graph.schema)
         if label is None:
             return False
-        return AttributeLike("_", self.pattern)._regex().match(str(label)) is not None
+        return self._regex.match(str(label)) is not None
+
+    @functools.cached_property
+    def _regex(self) -> re.Pattern[str]:
+        return _like_regex(self.pattern)
 
     def describe(self) -> str:
         return f"label like {_format_value(self.pattern)}"

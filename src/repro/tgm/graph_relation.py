@@ -22,10 +22,10 @@ so a query plan never re-validates the same tuples on every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Container, Iterable, Iterator, Sequence
 
 from repro.errors import TgmError
-from repro.tgm.conditions import Condition, ConditionMemo
+from repro.tgm.conditions import Condition
 from repro.tgm.instance_graph import InstanceGraph
 
 
@@ -239,32 +239,33 @@ def selection(
     key: str,
     condition: Condition,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
+    matching: Container[int] | None = None,
 ) -> GraphRelation:
     """``σ_Ci(R)``: keep tuples whose ``key`` node satisfies the condition.
 
-    With a :class:`ConditionMemo`, each (condition, node) pair is evaluated
-    at most once across the memo's lifetime — repeated incremental queries
-    never re-scan the neighbors behind a ``NeighborSatisfies`` twice.
+    By default each row's node is tested with ``condition.matches`` — the
+    reference evaluation. ``matching`` supplies the ids of the satisfying
+    nodes instead (the planner answers a condition a set at a time, see
+    ``repro.core.planner.condition_ids``), and rows are kept by membership.
+    The relation itself comes back when every row survives.
     """
     position = relation.position(key)
-    target = relation.columns_view()[position]
-    if memo is not None:
-        kept = [
-            index
-            for index, node_id in enumerate(target)
-            if memo.matches(condition, graph.node(node_id), graph)
-        ]
-    else:
+    columns = relation.columns_view()
+    target = columns[position]
+    if matching is None:
         kept = [
             index
             for index, node_id in enumerate(target)
             if condition.matches(graph.node(node_id), graph)
         ]
-    columns = [
-        [column[index] for index in kept] for column in relation.columns_view()
-    ]
-    return GraphRelation.from_columns(list(relation.attributes), columns)
+    else:
+        kept = [
+            index for index, node_id in enumerate(target) if node_id in matching
+        ]
+    if len(kept) == len(target):
+        return relation
+    out = [[column[index] for index in kept] for column in columns]
+    return GraphRelation.from_columns(list(relation.attributes), out)
 
 
 def join(

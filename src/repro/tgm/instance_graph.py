@@ -272,6 +272,8 @@ class InstanceGraph:
         self._attribute_indexes: dict[
             tuple[str, str], dict[Any, list[int]]
         ] = {}
+        # (type_name, attribute) pairs whose index skipped an unhashable value
+        self._partial_indexes: set[tuple[str, str]] = set()
         self._statistics: GraphStatistics | None = None
         # Monotonic mutation counter so external caches (statistics users,
         # the transform layer's entity-ref cache) can detect staleness.
@@ -453,27 +455,24 @@ class InstanceGraph:
                 try:
                     index.setdefault(value, []).append(node_id)
                 except TypeError:
-                    continue
+                    self._partial_indexes.add(key)
             self._attribute_indexes[key] = index
         return index
+
+    def attribute_index_covers(self, type_name: str, attribute: str) -> bool:
+        """True when :meth:`attribute_index` holds every non-NULL value.
+
+        False when some node's value is unhashable: a set-at-a-time
+        evaluation that walks the index would miss that node, so it must
+        scan the type instead.
+        """
+        self.attribute_index(type_name, attribute)
+        return (type_name, attribute) not in self._partial_indexes
 
     def label_index(self, type_name: str) -> dict[Any, list[int]]:
         """The attribute index over the type's label attribute."""
         label_attr = self.schema.node_type(type_name).label_attribute
         return self.attribute_index(type_name, label_attr)
-
-    def find_ids_by_attribute(
-        self, type_name: str, attribute: str, value: Any
-    ) -> list[int]:
-        """Node ids with ``attribute == value``, via the hash index."""
-        try:
-            return list(self.attribute_index(type_name, attribute).get(value, ()))
-        except TypeError:  # unhashable probe value
-            return [
-                node.node_id
-                for node in self.nodes_of_type(type_name)
-                if node.attributes.get(attribute) == value
-            ]
 
     @property
     def version(self) -> int:
@@ -487,6 +486,7 @@ class InstanceGraph:
             stale = [key for key in self._attribute_indexes if key[0] == type_name]
             for key in stale:
                 del self._attribute_indexes[key]
+                self._partial_indexes.discard(key)
 
     # ------------------------------------------------------------------
     # Statistics

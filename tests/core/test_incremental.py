@@ -11,7 +11,11 @@ other engines at scale lives in tests/integration/test_session_fuzz.py.
 import pytest
 
 from repro.errors import ServiceError
-from repro.tgm.conditions import AttributeCompare, AttributeLike
+from repro.tgm.conditions import (
+    AttributeCompare,
+    AttributeLike,
+    NeighborSatisfies,
+)
 from repro.core.cache import (
     CachingExecutor,
     IncrementalExecutor,
@@ -183,6 +187,31 @@ class TestMutationInvalidation:
         relation = executor.match(pattern)
         assert relation.tuples == match(pattern, graph).tuples
         assert executor.prefixes.invalidations >= 1
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_new_edge_is_seen_by_a_memoized_neighbor_condition(
+        self, incremental
+    ):
+        tgdb = self._tgdb()
+        graph = tgdb.graph
+        author = graph.add_node("Authors", {"name": "Newcomer Zyx"})
+        base = CachingExecutor(graph)
+        executor = IncrementalExecutor(base) if incremental else base
+        papers = initiate(tgdb.schema, "Papers")
+        by_newcomer = select(papers, NeighborSatisfies(
+            "Papers->Authors", AttributeLike("name", "%Zyx%")
+        ))
+        executor.match(papers)
+        assert len(executor.match(by_newcomer)) == 0
+        assert len(base.condition_sets) > 0  # the empty answer is stored
+        # Only adjacency changes: no attribute index is rebuilt, so only
+        # the graph version can retire the stored semi-join answer.
+        paper_id = graph.node_ids_of_type("Papers")[0]
+        graph.add_edge("Papers->Authors", paper_id, author.node_id)
+        executor.match(papers)
+        relation = executor.match(by_newcomer)
+        assert relation.tuples == match(by_newcomer, graph).tuples
+        assert relation.tuples == [(paper_id,)]
 
 
 class TestIncrementalStats:

@@ -2,7 +2,7 @@
 
 Covers the statistics layer, the secondary indexes, plan construction
 (order, cost estimates, explain text), semi-join pruning, the prefix store,
-and the condition memo. Integration-level equivalence against the reference
+and the condition-set store. Integration-level equivalence against the reference
 matcher lives in tests/integration/test_planner_equivalence.py.
 """
 
@@ -12,10 +12,10 @@ import pytest
 
 from repro.errors import TgmError
 from repro.tgm.conditions import (
+    AndCondition,
     AttributeCompare,
     AttributeIn,
     AttributeLike,
-    ConditionMemo,
     NeighborSatisfies,
     NodeIn,
     NodeIs,
@@ -26,6 +26,7 @@ from repro.core.cache import CachingExecutor
 from repro.core.matching import match, match_parallel, match_planned
 from repro.core.operators import add, initiate, select, shift
 from repro.core.planner import (
+    ConditionSets,
     DeltaPlanner,
     ExecutionReport,
     ParallelContext,
@@ -34,6 +35,7 @@ from repro.core.planner import (
     build_plan,
     candidate_ids,
     classify_delta,
+    condition_ids,
     estimate_delta_cost,
     estimate_replan_cost,
     estimate_selectivity,
@@ -279,20 +281,68 @@ class TestEstimation:
         assert set(candidate_ids(graph, "Papers", condition)) == expected
 
 
-class TestConditionMemo:
+class TestConditionSets:
     def test_memo_hits_on_repeat(self, toy):
-        memo = ConditionMemo()
         graph = toy.graph
+        sets = ConditionSets(graph)
         condition = NeighborSatisfies(
             "Papers->Authors", AttributeLike("name", "%a%")
         )
-        node = graph.nodes_of_type("Papers")[0]
-        first = memo.matches(condition, node, graph)
-        evaluations = memo.evaluations
-        second = memo.matches(condition, node, graph)
-        assert first == second
-        assert memo.evaluations == evaluations  # no re-evaluation
-        assert memo.hits == 1
+        first = condition_ids(graph, "Papers", condition, sets)
+        # The semi-join and its inner LIKE were each evaluated and stored.
+        assert len(sets) == 2 and sets.hits == 0
+        second = condition_ids(graph, "Papers", condition, sets)
+        assert second is first  # served from the store, not re-evaluated
+        assert sets.hits == 1
+        assert first == {
+            node.node_id
+            for node in graph.nodes_of_type("Papers")
+            if condition.matches(node, graph)
+        }
+
+    def test_conjunction_reuses_operand_sets(self, toy):
+        graph = toy.graph
+        sets = ConditionSets(graph)
+        a = NeighborSatisfies("Papers->Authors", AttributeLike("name", "%a%"))
+        b = AttributeCompare("year", ">", 2005)
+        a_ids = condition_ids(graph, "Papers", a, sets)
+        entries, hits = len(sets), sets.hits
+        both = condition_ids(graph, "Papers", AndCondition((a, b)), sets)
+        # A∧B looked A's set up (one hit) and evaluated only B (one entry);
+        # the conjunction itself recomposes by intersection, unstored.
+        assert sets.hits == hits + 1
+        assert len(sets) == entries + 1
+        assert both == a_ids & condition_ids(graph, "Papers", b)
+
+    def test_fresh_constants_stay_within_cell_budget(self, academic):
+        # Every user's fresh constant adds an answer; the store must evict
+        # by its LRU and cell budget instead of growing with traffic.
+        executor = CachingExecutor(academic.graph)
+        sets = executor.condition_sets
+        base = initiate(academic.schema, "Papers")
+        for threshold in range(-2000, 0):
+            executor.match(
+                select(base, AttributeCompare("page_start", ">", threshold))
+            )
+            assert sets.total_cells <= sets.max_cells
+            assert len(sets) <= sets.max_entries
+        assert sets.evictions > 0
+
+    def test_oversized_answer_is_refused(self, toy):
+        graph = toy.graph
+        sets = ConditionSets(graph, max_cells=2)
+        condition = AttributeCompare("year", ">", 0)
+        ids = condition_ids(graph, "Papers", condition, sets)
+        assert len(ids) > 2
+        assert len(sets) == 0 and sets.rejected == 1
+        assert condition_ids(graph, "Papers", condition, sets) == ids
+
+    def test_unhashable_constant_is_answered_unstored(self, toy):
+        graph = toy.graph
+        sets = ConditionSets(graph)
+        condition = AttributeCompare("title", "=", ["not", "hashable"])
+        assert condition_ids(graph, "Papers", condition, sets) == frozenset()
+        assert len(sets) == 0
 
 
 # ----------------------------------------------------------------------
@@ -518,11 +568,14 @@ class TestPrefixStore:
 
     def test_invalidate_clears_prefixes_and_memo(self, toy):
         executor = CachingExecutor(toy.graph)
-        pattern = initiate(toy.schema, "Papers")
+        pattern = select(initiate(toy.schema, "Papers"),
+                         AttributeCompare("year", ">", 2005))
         executor.match(pattern)
         assert len(executor.prefixes) > 0
+        assert len(executor.condition_sets) > 0
         executor.invalidate()
         assert len(executor.prefixes) == 0
+        assert len(executor.condition_sets) == 0
         executor.match(pattern)
         assert executor.stats.misses == 2
 
